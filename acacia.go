@@ -161,7 +161,8 @@ func RunAllExperiments(opts ExperimentOptions) ([]*ExperimentResult, error) {
 // ScaleConfig shapes the generated metro-scale scenario: the site/eNB grid,
 // the UE population and its arrival profile, per-site admission capacity,
 // the frame-loop timing, and the execution mode (Workers, matching
-// -intra-parallel semantics).
+// -intra-parallel semantics: 0 runs the scenario as a one-partition
+// cluster, positive values give every site its own partition).
 type ScaleConfig = experiments.ScaleConfig
 
 // DefaultScaleConfig returns the preset metro shapes: quick (test-sized)

@@ -53,7 +53,7 @@ func run() int {
 		full       = flag.Bool("full", false, "publication-length runs (slower, tighter statistics)")
 		seed       = flag.Uint64("seed", 2016, "simulation seed")
 		parallel   = flag.Int("parallel", 0, "max concurrent trials (0 = GOMAXPROCS)")
-		intraPar   = flag.Int("intra-parallel", 0, "partition the event loop inside each trial: 0 = single queue, 1 = windowed, N>1 = N gang workers")
+		intraPar   = flag.Int("intra-parallel", 0, "partition the event loop inside each trial: 0 = one partition, 1 = one partition per site in serial windows, N>1 = N gang workers")
 		progress   = flag.Bool("progress", false, "report per-trial completion on stderr")
 		csv        = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 		metrics    = flag.Bool("metrics", false, "print each experiment's merged telemetry snapshot")

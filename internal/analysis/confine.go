@@ -18,8 +18,8 @@ import (
 // flags:
 //
 //   - cluster control from handler context: calls to sim.Cluster methods
-//     (Engines, AddPartition, RunUntil, RunFor, Run, SetRunner,
-//     SetLookahead) or NewCluster — a handler enumerating or advancing
+//     (Engines, AddPartition, RunUntil, RunFor, SetWorkers, SetLookahead,
+//     MetricsSnapshot) or NewCluster — a handler enumerating or advancing
 //     partitions is either re-entrant or about to touch foreign state;
 //   - local-effect engine calls (Schedule/After/Now/RNG/Metrics/...) on an
 //     engine reached through Cluster.Engines() — that is, an arbitrary
@@ -64,14 +64,14 @@ var localEffectMethods = map[string]bool{
 // clusterControlFuncs are the sim.Cluster entry points (plus NewCluster)
 // that make sense only from the driver, never from inside a handler.
 var clusterControlFuncs = map[string]bool{
-	"Engines":      true,
-	"AddPartition": true,
-	"RunUntil":     true,
-	"RunFor":       true,
-	"Run":          true,
-	"SetRunner":    true,
-	"SetLookahead": true,
-	"Processed":    true,
+	"Engines":         true,
+	"AddPartition":    true,
+	"RunUntil":        true,
+	"RunFor":          true,
+	"SetWorkers":      true,
+	"SetLookahead":    true,
+	"Processed":       true,
+	"MetricsSnapshot": true,
 }
 
 func runPartitionConfine(p *ProgramPass) {

@@ -48,13 +48,15 @@ func (a *app) StartSuppressed() {
 
 func (a *app) tick() {}
 
-// Control reaches for the cluster from inside a handler: enumeration and
-// run control belong to the driver.
+// Control reaches for the cluster from inside a handler: enumeration, run
+// control, worker sizing and cross-partition telemetry belong to the driver.
 func Control(c *sim.Cluster, eng *sim.Engine) {
 	eng.Schedule(time.Millisecond, func() {
 		for _, e := range c.Engines() { // want "sim.Cluster.Engines called from event-handler context"
 			_ = e.Now() // want "engine obtained from Cluster.Engines"
 		}
+		c.SetWorkers(2)         // want "sim.Cluster.SetWorkers called from event-handler context"
+		_ = c.MetricsSnapshot() // want "sim.Cluster.MetricsSnapshot called from event-handler context"
 	})
 }
 
@@ -70,5 +72,7 @@ func Driver(master *sim.Engine) {
 	for _, e := range c.Engines() {
 		_ = e.Metrics()
 	}
+	c.SetWorkers(2)
 	c.RunFor(time.Second)
+	_ = c.MetricsSnapshot()
 }

@@ -22,8 +22,12 @@ func TestIntraParallelMatchesSequential(t *testing.T) {
 	}
 	run := func(ip int) result {
 		tb := newRetailTestbed(t, TestbedConfig{Seed: 31415, IntraParallel: ip})
-		if (tb.Cluster != nil) != (ip > 0) {
-			t.Fatalf("IntraParallel=%d: cluster presence wrong", ip)
+		want := 1 // IntraParallel 0: the core alone
+		if ip > 0 {
+			want = 2 // core + edge-1
+		}
+		if got := len(tb.Cluster.Engines()); got != want {
+			t.Fatalf("IntraParallel=%d: %d partition engines, want %d", ip, got, want)
 		}
 		b := startRetail(t, tb, "electronics", electronicsSpot)
 		tb.Run(15 * time.Second)
@@ -75,10 +79,12 @@ func TestIntraParallelAddEdgeSiteMatchesSequential(t *testing.T) {
 		tb := newRetailTestbed(t, TestbedConfig{Seed: 27182, IntraParallel: ip})
 		s2 := tb.AddEdgeSite("edge-2")
 		s3 := tb.AddEdgeSite("edge-3")
-		if tb.Cluster != nil {
-			if got, want := len(tb.Cluster.Engines()), 4; got != want {
-				t.Fatalf("IntraParallel=%d: %d partition engines, want %d (core + 3 sites)", ip, got, want)
-			}
+		want := 1 // IntraParallel 0: the core alone
+		if ip > 0 {
+			want = 4 // core + 3 sites
+		}
+		if got := len(tb.Cluster.Engines()); got != want {
+			t.Fatalf("IntraParallel=%d: %d partition engines, want %d", ip, got, want)
 		}
 		b := startRetail(t, tb, "electronics", electronicsSpot)
 		tb.Run(10 * time.Second)

@@ -7,7 +7,6 @@ import (
 	"acacia/internal/compute"
 	"acacia/internal/d2d"
 	"acacia/internal/epc"
-	"acacia/internal/exec"
 	"acacia/internal/fault"
 	"acacia/internal/geo"
 	"acacia/internal/localization"
@@ -77,8 +76,8 @@ type TestbedConfig struct {
 	DiscoveryPeriod time.Duration
 
 	// IntraParallel partitions the event loop inside one run (DESIGN.md
-	// §3g): 0 (the default) keeps the single global event queue, bit-for-bit
-	// identical to every previous release. Any positive value moves the
+	// §3g): 0 (the default) runs the whole testbed as a one-partition
+	// cluster, the sequential reference. Any positive value moves the
 	// edge-1 site (edge SGW-U/PGW-U and the CI server) onto its own
 	// partition engine advanced in conservative windows against the core;
 	// values above 1 execute the windows on that many gang workers.
@@ -176,9 +175,10 @@ type UEBundle struct {
 type Testbed struct {
 	Cfg TestbedConfig
 	Eng *sim.Engine
-	// Cluster is non-nil when Cfg.IntraParallel > 0: the conservative
-	// windowed partition group (core = partition 0, edge-1 = partition 1)
-	// that Run/Attach/Handover advance instead of Eng directly.
+	// Cluster is the partition group that Run/Attach/Handover advance. Eng
+	// is its partition 0 (the core); with Cfg.IntraParallel > 0 every edge
+	// site adds a partition advanced in conservative windows, otherwise Eng
+	// is the only one.
 	Cluster *sim.Cluster
 	Net     *netsim.Network
 	Ctl     *sdn.Controller
@@ -271,8 +271,9 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	// site-internal event (fabric hops, CI server compute, backend state)
 	// runs off the core queue. The rtr↔edge-sgw-u link is the only inbound
 	// cross edge; its propagation delay becomes the conservative lookahead.
+	tb.Cluster = sim.NewCluster(eng, cfg.Seed)
+	tb.Cluster.SetWorkers(cfg.IntraParallel)
 	if cfg.IntraParallel > 0 {
-		tb.Cluster = sim.NewCluster(eng, cfg.Seed)
 		dom := nw.AddDomain(tb.Cluster.AddPartition("site/edge-1"))
 		nw.SetDomain(edgeSGWN, dom)
 		nw.SetDomain(edgePGWN, dom)
@@ -462,7 +463,7 @@ func (tb *Testbed) AddEdgeSite(name string) *SiteBundle {
 	pgwN := tb.Net.AddNode(name+"-pgw-u", pkt.AddrFrom(10, base, 0, 2))
 	ciN := tb.Net.AddNode(name+"-ci", pkt.AddrFrom(10, base, 0, 10))
 
-	if tb.Cluster != nil {
+	if tb.Cfg.IntraParallel > 0 {
 		dom := tb.Net.AddDomain(tb.Cluster.AddPartition("site/" + name))
 		tb.Net.SetDomain(sgwN, dom)
 		tb.Net.SetDomain(pgwN, dom)
@@ -739,46 +740,16 @@ func (tb *Testbed) Handover(b *UEBundle, target *epc.ENB) error {
 // Run advances virtual time.
 func (tb *Testbed) Run(d time.Duration) { tb.runFor(d) }
 
-// runFor advances the simulation by d: directly on the single engine in
-// legacy mode, otherwise through the partition cluster in conservative
-// windows. The lookahead is refreshed from the live topology on every call
-// (AddEdgeSite and radio attachment add links after construction), and a
-// worker gang exists only for the duration of the call so runs never leak
-// goroutines.
+// runFor advances the simulation by d through the partition cluster. The
+// lookahead is refreshed from the live topology on every call (AddEdgeSite
+// and radio attachment add links after construction).
 func (tb *Testbed) runFor(d time.Duration) {
-	if tb.Cluster == nil {
-		tb.Eng.RunFor(d)
-		return
-	}
 	if la, ok := tb.Net.MinCrossLatency(); ok {
 		tb.Cluster.SetLookahead(la)
-	}
-	if n := tb.Cfg.IntraParallel; n > 1 {
-		if m := len(tb.Cluster.Engines()); n > m {
-			n = m
-		}
-		g := exec.NewGang(n)
-		tb.Cluster.SetRunner(g)
-		defer func() {
-			tb.Cluster.SetRunner(nil)
-			g.Stop()
-		}()
 	}
 	tb.Cluster.RunFor(d)
 }
 
-// MetricsSnapshot captures the testbed's telemetry: the single engine
-// registry in legacy mode, or every partition registry merged in partition
-// order (counters add, gauges keep the last write, which is unique per
-// metric because each metric lives in exactly one partition registry).
-func (tb *Testbed) MetricsSnapshot() *telemetry.Snapshot {
-	if tb.Cluster == nil {
-		return tb.Eng.Metrics().Snapshot()
-	}
-	engines := tb.Cluster.Engines()
-	snaps := make([]*telemetry.Snapshot, len(engines))
-	for i, e := range engines {
-		snaps[i] = e.Metrics().Snapshot()
-	}
-	return telemetry.MergeSnapshots(snaps...)
-}
+// MetricsSnapshot captures the testbed's telemetry across every partition
+// (see sim.Cluster.MetricsSnapshot).
+func (tb *Testbed) MetricsSnapshot() *telemetry.Snapshot { return tb.Cluster.MetricsSnapshot() }

@@ -91,8 +91,8 @@ type Options struct {
 	// results are reassembled in declaration order.
 	Parallel int
 	// IntraParallel partitions the event loop inside each testbed-backed
-	// trial (DESIGN.md §3g): 0 keeps the single global event queue, 1 runs
-	// the edge site on its own partition in conservative windows, and
+	// trial (DESIGN.md §3g): 0 runs the trial as a one-partition cluster, 1
+	// runs the edge site on its own partition in conservative windows, and
 	// higher values execute windows on that many gang workers. Output is
 	// byte-identical at every setting — that is the partitioned engine's
 	// core contract, enforced by the identity tests.

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"acacia/internal/exec"
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
 	"acacia/internal/sim"
 	"acacia/internal/stats"
-	"acacia/internal/telemetry"
 )
 
 func init() { register(manySite()) }
@@ -76,15 +74,14 @@ func hashString(s string) uint64 {
 }
 
 // runManySite executes the scenario with the given shape. workers selects
-// the mode: 0 = one global event queue (no cluster), 1 = partitioned with
-// serial windows, >= 2 = partitioned with a gang of that many workers.
+// the mode: 0 = a one-partition cluster (the sequential reference), 1 = one
+// partition per site with serial windows, >= 2 = per-site partitions with a
+// gang of that many workers.
 func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.Duration) manySiteRun {
 	eng := sim.NewEngine(seed)
 	nw := netsim.New(eng)
-	var cluster *sim.Cluster
-	if workers > 0 {
-		cluster = sim.NewCluster(eng, seed)
-	}
+	cluster := sim.NewCluster(eng, seed)
+	cluster.SetWorkers(workers)
 
 	// Unique per-owner sub-microsecond start offsets: the no-ties scheme
 	// needs every timer owner below 1000 (one full microsecond of distinct
@@ -116,7 +113,7 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.D
 		i := i
 		name := fmt.Sprintf("site-%d", i+1)
 		var dom *netsim.Domain
-		if cluster != nil {
+		if workers > 0 {
 			dom = nw.AddDomain(cluster.AddPartition("site/" + name))
 		}
 		srvN := nw.AddNode(name+"-srv", pkt.AddrFrom(10, byte(10+i), 0, 1))
@@ -208,33 +205,11 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.D
 		}
 	}
 
-	if cluster == nil {
-		eng.RunFor(dur)
-		out.metricsHash = hashString(eng.Metrics().Snapshot().String())
-		return out
-	}
 	if la, ok := nw.MinCrossLatency(); ok {
 		cluster.SetLookahead(la)
 	}
-	if workers > 1 {
-		n := workers
-		if m := len(cluster.Engines()); n > m {
-			n = m
-		}
-		g := exec.NewGang(n)
-		cluster.SetRunner(g)
-		cluster.RunFor(dur)
-		cluster.SetRunner(nil)
-		g.Stop()
-	} else {
-		cluster.RunFor(dur)
-	}
-	engines := cluster.Engines()
-	snaps := make([]*telemetry.Snapshot, len(engines))
-	for i, e := range engines {
-		snaps[i] = e.Metrics().Snapshot()
-	}
-	out.metricsHash = hashString(telemetry.MergeSnapshots(snaps...).String())
+	cluster.RunFor(dur)
+	out.metricsHash = hashString(cluster.MetricsSnapshot().String())
 	return out
 }
 

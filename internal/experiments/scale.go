@@ -8,13 +8,11 @@ import (
 
 	"acacia/internal/core"
 	"acacia/internal/epc"
-	"acacia/internal/exec"
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
 	"acacia/internal/sdn"
 	"acacia/internal/sim"
 	"acacia/internal/stats"
-	"acacia/internal/telemetry"
 )
 
 func init() { register(scaleMetro()) }
@@ -69,9 +67,9 @@ type ScaleConfig struct {
 	// FlashFraction the fraction of the population arriving in the flash.
 	FlashSite     int
 	FlashFraction float64
-	// Workers selects the execution mode: 0 = one global event queue, 1 =
-	// per-site partitions in serial windows, >= 2 = windows on a gang of
-	// that many workers.
+	// Workers selects the execution mode: 0 = a one-partition cluster (the
+	// sequential reference), 1 = per-site partitions in serial windows,
+	// >= 2 = windows on a gang of that many workers.
 	Workers int
 }
 
@@ -257,10 +255,8 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	nw := netsim.New(eng)
 	ctl := sdn.NewController(eng)
 	ctl.RTT = 200 * time.Microsecond
-	var cluster *sim.Cluster
-	if cfg.Workers > 0 {
-		cluster = sim.NewCluster(eng, seed)
-	}
+	cluster := sim.NewCluster(eng, seed)
+	cluster.SetWorkers(cfg.Workers)
 
 	out := &scaleRun{sites: make([]scaleSiteOutcome, cfg.Sites)}
 	for i := range out.attachMs {
@@ -316,7 +312,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 			sgwPl: name + "-sgw",
 			pgwPl: name + "-pgw",
 		}
-		if cluster != nil {
+		if cfg.Workers > 0 {
 			dom := nw.AddDomain(cluster.AddPartition("site/" + name))
 			nw.SetDomain(sn.sgw, dom)
 			nw.SetDomain(sn.pgw, dom)
@@ -585,34 +581,11 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		sim.NewTicker(eng, cfg.CohortWindow, flush)
 	})
 
-	dur := cfg.Ramp + cfg.Hold
-	if cluster == nil {
-		eng.RunFor(dur)
-		out.metricsHash = hashString(eng.Metrics().Snapshot().String())
-	} else {
-		if la, ok := nw.MinCrossLatency(); ok {
-			cluster.SetLookahead(la)
-		}
-		if cfg.Workers > 1 {
-			n := cfg.Workers
-			if m := len(cluster.Engines()); n > m {
-				n = m
-			}
-			g := exec.NewGang(n)
-			cluster.SetRunner(g)
-			cluster.RunFor(dur)
-			cluster.SetRunner(nil)
-			g.Stop()
-		} else {
-			cluster.RunFor(dur)
-		}
-		engines := cluster.Engines()
-		snaps := make([]*telemetry.Snapshot, len(engines))
-		for i, e := range engines {
-			snaps[i] = e.Metrics().Snapshot()
-		}
-		out.metricsHash = hashString(telemetry.MergeSnapshots(snaps...).String())
+	if la, ok := nw.MinCrossLatency(); ok {
+		cluster.SetLookahead(la)
 	}
+	cluster.RunFor(cfg.Ramp + cfg.Hold)
+	out.metricsHash = hashString(cluster.MetricsSnapshot().String())
 
 	for s, sn := range siteList {
 		out.sites[s].Bound = mrs.SiteLoad(sn.name)

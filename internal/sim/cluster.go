@@ -18,37 +18,22 @@
 // queue in that order. Because the outbox order is a pure function of each
 // partition's deterministic event order, the injected sequence — and hence
 // the full simulation — is identical whether windows execute serially or on
-// a parallel Runner. Partitions never share mutable state: each Engine owns
-// its queue, clock, RNG, free-lists and telemetry registry.
+// a worker gang. Partitions never share mutable state: each Engine owns its
+// queue, clock, RNG, free-lists and telemetry registry.
+//
+// A one-partition cluster is the sequential reference: it runs the whole
+// requested range as a single window, which is exactly Engine.RunUntil.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"sort"
 	"time"
+
+	"acacia/internal/exec"
+	"acacia/internal/telemetry"
 )
-
-// Runner executes one batch of window closures, one per partition, and
-// returns only when all of them have completed. Implementations may run them
-// concurrently (see exec.Gang); the zero-dependency default runs them
-// serially in partition order. Either way the simulation output is
-// byte-identical, because partitions only interact through outboxes that are
-// drained between windows.
-type Runner interface {
-	Do(fns []func())
-}
-
-// serialRunner is the default Runner: windows execute in partition order on
-// the calling goroutine.
-type serialRunner struct{}
-
-func (serialRunner) Do(fns []func()) {
-	for _, fn := range fns {
-		fn()
-	}
-}
 
 // xev is one buffered cross-partition event: a timestamped callback waiting
 // in an outbox for the next window barrier.
@@ -75,7 +60,7 @@ type Cluster struct {
 	// out[src][dst] buffers cross-partition events sent by partition src to
 	// partition dst during the current window. Only partition src appends to
 	// row src (single writer), and the barrier alone reads and clears it, so
-	// outboxes need no locks even under a concurrent Runner.
+	// outboxes need no locks even when a gang runs the windows.
 	out [][][]xev
 	// lookahead is the safe horizon: no cross-partition interaction can take
 	// effect sooner than this after the event that caused it. It must be a
@@ -83,12 +68,12 @@ type Cluster struct {
 	lookahead Time
 	// limit is the current window's exclusive upper bound, read by SendTo's
 	// safety check. It is written only between windows (or before the run),
-	// and the Runner barrier orders those writes against worker reads.
-	limit  Time
-	now    Time
-	runner Runner
-	winFns []func()
-	inbox  []xev // delivery scratch, reused between barriers
+	// and the gang barrier orders those writes against worker reads.
+	limit   Time
+	now     Time
+	workers int
+	winFns  []func()
+	inbox   []xev // delivery scratch, reused between barriers
 }
 
 // NewCluster makes master partition 0 of a new cluster. seed should be the
@@ -99,7 +84,7 @@ func NewCluster(master *Engine, seed uint64) *Cluster {
 	if master.part != nil {
 		panic("sim: engine already belongs to a cluster")
 	}
-	c := &Cluster{seed: seed, runner: serialRunner{}}
+	c := &Cluster{seed: seed}
 	c.attach(master)
 	return c
 }
@@ -145,18 +130,13 @@ func (c *Cluster) Engines() []*Engine { return c.parts }
 // than one partition must set a positive lookahead before running.
 func (c *Cluster) SetLookahead(d time.Duration) { c.lookahead = Time(d) }
 
-// Lookahead reports the configured safe horizon.
-func (c *Cluster) Lookahead() time.Duration { return time.Duration(c.lookahead) }
-
-// SetRunner installs the window executor. Passing nil restores the serial
-// default. A concurrent Runner (exec.Gang) changes wall-clock time only;
-// simulation output stays byte-identical.
-func (c *Cluster) SetRunner(r Runner) {
-	if r == nil {
-		r = serialRunner{}
-	}
-	c.runner = r
-}
+// SetWorkers sets how many goroutines execute each window: at most one per
+// partition, so values at or below 1 — and any value on a one-partition
+// cluster — run windows serially in partition order on the caller. Above
+// that, each RunUntil starts an exec.Gang and stops it before returning, so a
+// cluster never leaks goroutines between runs. The worker count changes
+// wall-clock time only; simulation output stays byte-identical.
+func (c *Cluster) SetWorkers(n int) { c.workers = n }
 
 // Now reports the cluster's virtual clock: the target of the last completed
 // RunUntil/RunFor.
@@ -215,11 +195,14 @@ func (c *Cluster) deliver() {
 	}
 }
 
-// minNext returns the earliest pending timestamp across all partitions.
-func (c *Cluster) minNext() (Time, bool) {
+// minNext returns the earliest pending timestamp across all partitions,
+// sweeping only cancelled events due by target (which a run to target would
+// discard anyway), so a one-partition run leaves Pending exactly where
+// Engine.RunUntil would.
+func (c *Cluster) minNext(target Time) (Time, bool) {
 	best, ok := Time(0), false
 	for _, e := range c.parts {
-		if t, has := e.NextEventAt(); has && (!ok || t < best) {
+		if t, has := e.nextEventBy(target); has && (!ok || t < best) {
 			best, ok = t, true
 		}
 	}
@@ -237,12 +220,17 @@ func (c *Cluster) RunUntil(target Time) {
 		panic("sim: cluster with multiple partitions needs a positive lookahead")
 	}
 	c.ensureWinFns()
+	var gang *exec.Gang
+	if n := min(c.workers, len(c.parts)); n > 1 {
+		gang = exec.NewGang(n)
+		defer gang.Stop()
+	}
 	for _, e := range c.parts {
 		e.stopped = false
 	}
 	for {
 		c.deliver()
-		tmin, ok := c.minNext()
+		tmin, ok := c.minNext(target)
 		if !ok || tmin > target {
 			break
 		}
@@ -255,7 +243,13 @@ func (c *Cluster) RunUntil(target Time) {
 			limit = target + 1
 		}
 		c.limit = limit
-		c.runner.Do(c.winFns)
+		if gang != nil {
+			gang.Do(c.winFns)
+		} else {
+			for _, fn := range c.winFns {
+				fn()
+			}
+		}
 		for _, e := range c.parts {
 			if e.stopped {
 				return
@@ -274,41 +268,28 @@ func (c *Cluster) RunUntil(target Time) {
 // RunFor advances the cluster by d of virtual time from the cluster clock.
 func (c *Cluster) RunFor(d time.Duration) { c.RunUntil(c.now.Add(d)) }
 
-// Run executes windows until every partition's queue drains (or Stop is
-// called). The final clock is the last executed event's time per partition.
-func (c *Cluster) Run() {
-	if len(c.parts) > 1 && c.lookahead <= 0 {
-		panic("sim: cluster with multiple partitions needs a positive lookahead")
+// MetricsSnapshot captures the cluster's telemetry as one snapshot: a lone
+// partition's registry as is, otherwise every partition registry merged in
+// partition order. The merge adds counters, histograms and gauges alike,
+// which is exact because each metric — gauges included — is registered in
+// exactly one partition registry (a layer registers into the engine that
+// owns it), so every sum has one term and equals that metric's value.
+func (c *Cluster) MetricsSnapshot() *telemetry.Snapshot {
+	if len(c.parts) == 1 {
+		return c.parts[0].Metrics().Snapshot()
 	}
-	c.ensureWinFns()
-	for _, e := range c.parts {
-		e.stopped = false
+	snaps := make([]*telemetry.Snapshot, len(c.parts))
+	for i, e := range c.parts {
+		snaps[i] = e.Metrics().Snapshot()
 	}
-	for {
-		c.deliver()
-		tmin, ok := c.minNext()
-		if !ok {
-			break
-		}
-		limit := tmin + c.lookahead
-		if len(c.parts) == 1 || limit < tmin {
-			limit = Time(math.MaxInt64)
-		}
-		c.limit = limit
-		c.runner.Do(c.winFns)
-		for _, e := range c.parts {
-			if e.stopped {
-				return
-			}
-		}
-	}
+	return telemetry.MergeSnapshots(snaps...)
 }
 
 // --- Engine-side partition hooks ---
 
 // runBefore executes local events with timestamps strictly below limit. It is
-// the per-window work of one partition; only the partition's own goroutine
-// (under the cluster Runner) calls it.
+// the per-window work of one partition; only the goroutine running that
+// partition's window calls it.
 //
 //acacia:hotpath
 func (e *Engine) runBefore(limit Time) {

@@ -239,30 +239,3 @@ func TestClusterStopEndsAtBarrier(t *testing.T) {
 		t.Errorf("ran = %d after resume, want 2", ran)
 	}
 }
-
-// TestClusterRunDrains checks Run executes every pending event across all
-// partitions, including cross sends buffered mid-run, and Processed sums
-// partition counters.
-func TestClusterRunDrains(t *testing.T) {
-	master := NewEngine(1)
-	c := NewCluster(master, 1)
-	edge := c.AddPartition("site/edge-1")
-	c.SetLookahead(time.Millisecond)
-
-	ran := 0
-	master.Schedule(time.Millisecond, func() {
-		ran++
-		master.SendTo(edge, 2*time.Millisecond, func(any) { ran++ }, nil)
-	})
-	edge.Schedule(5*time.Millisecond, func() { ran++ })
-	c.Run()
-	if ran != 3 {
-		t.Errorf("ran = %d, want 3 (Run must drain cross sends too)", ran)
-	}
-	if got := c.Processed(); got != 3 {
-		t.Errorf("Processed() = %d, want 3", got)
-	}
-	if master.Pending()+edge.Pending() != 0 {
-		t.Error("queues not drained")
-	}
-}

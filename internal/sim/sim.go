@@ -367,8 +367,12 @@ func (e *Engine) Pending() int { return len(e.queue) }
 
 // NextEventAt returns the timestamp of the earliest pending event and whether
 // one exists.
-func (e *Engine) NextEventAt() (Time, bool) {
-	for len(e.queue) > 0 && e.queue[0].cancel {
+func (e *Engine) NextEventAt() (Time, bool) { return e.nextEventBy(math.MaxInt64) }
+
+// nextEventBy is NextEventAt sweeping only cancelled events due at or before
+// t; a cancelled event later than t stays queued and its time is reported.
+func (e *Engine) nextEventBy(t Time) (Time, bool) {
+	for len(e.queue) > 0 && e.queue[0].cancel && e.queue[0].at <= t {
 		e.recycle(heap.Pop(&e.queue).(*Event))
 	}
 	if len(e.queue) == 0 {
