@@ -155,3 +155,49 @@ func BenchmarkScaleLookupScan10k(b *testing.B) {
 		sw.lookupScan(inPort, ft, teid)
 	}
 }
+
+// fillBearerTable installs n entries shaped like a central GW-U's table:
+// priority-100 bearer rules alternating uplink TunnelID and downlink IPv4Dst
+// matches, above one priority-50 background rule.
+func fillBearerTable(sw *Switch, n int) {
+	for i := 0; i < n; i++ {
+		m := pkt.Match{TunnelID: pkt.U64(uint64(1000 + i))}
+		if i%2 == 1 {
+			m = pkt.Match{IPv4Dst: pkt.AddrPtr(pkt.AddrFrom(172, byte(16+i/62500), byte(i/250%250), byte(2+i%250)))}
+		}
+		sw.installFlow(FlowEntry{Priority: 100, Cookie: uint64(i), Match: m,
+			Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 0}}})
+	}
+	sw.installFlow(FlowEntry{Priority: 50, Cookie: 0xb6b6b6,
+		Match:   pkt.Match{IPv4Src: pkt.AddrPtr(pkt.AddrFrom(10, 1, 0, 1))},
+		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}}})
+}
+
+// benchInstallFlow times installing one fresh bearer rule into a table of
+// about n rules. Every installBatch installs the timer stops and a single
+// removeFlows call takes the batch out again, so the table size holds and
+// the per-op figure is the install cost at size n.
+func benchInstallFlow(b *testing.B, n int) {
+	const installBatch = 1024
+	const batchCookie = 0xba7c4
+	sw := benchSwitch()
+	fillBearerTable(sw, n)
+	batch := make([]FlowEntry, installBatch)
+	for i := range batch {
+		batch[i] = FlowEntry{Priority: 100, Cookie: batchCookie,
+			Match:   pkt.Match{TunnelID: pkt.U64(uint64(1<<32 + i))},
+			Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 0}}}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%installBatch == 0 {
+			b.StopTimer()
+			sw.removeFlows(batchCookie)
+			b.StartTimer()
+		}
+		sw.installFlow(batch[i%installBatch])
+	}
+}
+
+func BenchmarkInstallFlow1k(b *testing.B)  { benchInstallFlow(b, 1000) }
+func BenchmarkInstallFlow20k(b *testing.B) { benchInstallFlow(b, 20000) }

@@ -173,6 +173,27 @@ func entryKey(m *pkt.Match) idxKey {
 	return k
 }
 
+// flowKey identifies a table entry the way an OpenFlow add does: a FlowMod
+// carrying the priority and match of an installed entry replaces it.
+// entryKey covers the packet-visible fields; EthType, which the tuple-space
+// index folds away, is carried beside it. Two entries share a flowKey
+// exactly when they have the same priority and field-for-field equal
+// matches.
+type flowKey struct {
+	idx      idxKey
+	priority uint16
+	ethType  uint16
+	hasEth   bool
+}
+
+func flowKeyOf(e *FlowEntry) flowKey {
+	k := flowKey{idx: entryKey(&e.Match), priority: e.Priority}
+	if e.Match.EthType != nil {
+		k.hasEth, k.ethType = true, *e.Match.EthType
+	}
+	return k
+}
+
 // probeKey projects a packet view onto one shape's hash key.
 func probeKey(shape uint8, inPort uint32, flow pkt.FiveTuple, tunnelID uint64) idxKey {
 	k := idxKey{shape: shape}
@@ -221,7 +242,11 @@ type Switch struct {
 	node *netsim.Node
 	eng  *sim.Engine
 
-	table   []FlowEntry
+	table []FlowEntry
+	// keys holds the flowKey of every table entry. installFlow replaces
+	// on a key it already holds, so each key appears at most once and a
+	// miss here proves the new entry is not a replacement.
+	keys    map[flowKey]struct{}
 	cache   map[cacheKey]int // megaflow cache: key -> table index
 	costs   PathCosts
 	gtpPort map[int]bool // ports with GTP logical-port semantics
@@ -281,6 +306,7 @@ func NewSwitch(dpid uint64, node *netsim.Node, costs PathCosts) *Switch {
 		DPID:    dpid,
 		node:    node,
 		eng:     node.Engine(),
+		keys:    make(map[flowKey]struct{}),
 		cache:   make(map[cacheKey]int),
 		index:   make(map[idxKey]int),
 		costs:   costs,
@@ -503,18 +529,21 @@ func (sw *Switch) lookupScan(inPort uint32, flow pkt.FiveTuple, tunnelID uint64)
 	return best
 }
 
-// rebuildIndex rehashes the table into the tuple-space buckets. Ascending
-// order makes the first writer of each bucket the lowest index with that
-// exact (shape, values) pair — the bucket's scan winner, since entries in
-// one bucket share a specificity and the table is priority-sorted.
+// rebuildIndex rehashes the table into the tuple-space buckets, keeping
+// each bucket's scan winner. The table is priority-sorted, so the first
+// entry hashed into a bucket has the bucket's top priority. Entries in one
+// bucket differ at most in EthType, which the shape folds away but
+// SpecificityScore counts: a later entry of the same priority that sets
+// EthType over a winner that does not is more specific, and the scan picks
+// it.
 func (sw *Switch) rebuildIndex() {
-	for k := range sw.index {
-		delete(sw.index, k)
-	}
+	clear(sw.index)
 	sw.shapes = sw.shapes[:0]
 	for i := range sw.table {
-		k := entryKey(&sw.table[i].Match)
-		if _, ok := sw.index[k]; !ok {
+		e := &sw.table[i]
+		k := entryKey(&e.Match)
+		c, ok := sw.index[k]
+		if !ok || (sw.table[c].Priority == e.Priority && sw.table[c].Match.EthType == nil && e.Match.EthType != nil) {
 			sw.index[k] = i
 		}
 		seen := false
@@ -597,7 +626,10 @@ func (sw *Switch) output(portID int, p *netsim.Packet) {
 	sw.node.Port(portID).Send(p)
 }
 
-// installFlow adds (or replaces, on identical match+priority) an entry.
+// installFlow adds an entry, or replaces the installed entry with the same
+// priority and match. The key set answers "is this a replacement" in O(1)
+// expected time, so a fresh install pays only the stable sorted insert;
+// only a replacement scans for its slot.
 func (sw *Switch) installFlow(e FlowEntry) {
 	e.lastUsed = sw.eng.Now()
 	if e.MeterBps > 0 {
@@ -610,13 +642,17 @@ func (sw *Switch) installFlow(e FlowEntry) {
 		e.tokens = burst
 		e.lastRefill = sw.eng.Now()
 	}
-	for i := range sw.table {
-		if sw.table[i].Priority == e.Priority && matchEqual(&sw.table[i].Match, &e.Match) {
-			sw.table[i] = e
-			sw.invalidateCache()
-			return
+	k := flowKeyOf(&e)
+	if _, ok := sw.keys[k]; ok {
+		for i := range sw.table {
+			if flowKeyOf(&sw.table[i]) == k {
+				sw.table[i] = e
+				sw.invalidateCache()
+				return
+			}
 		}
 	}
+	sw.keys[k] = struct{}{}
 	// Insert keeping the table ordered by descending priority for
 	// deterministic iteration in dumps. Shifting only strictly-lower
 	// priorities keeps insertion stable (equal priorities stay in arrival
@@ -639,6 +675,7 @@ func (sw *Switch) removeFlows(cookie uint64) int {
 	for _, e := range sw.table {
 		if e.Cookie == cookie {
 			removed++
+			delete(sw.keys, flowKeyOf(&e))
 			continue
 		}
 		kept = append(kept, e)
@@ -652,9 +689,7 @@ func (sw *Switch) removeFlows(cookie uint64) int {
 // index dirty; indices into the table are no longer valid after any table
 // mutation.
 func (sw *Switch) invalidateCache() {
-	for k := range sw.cache {
-		delete(sw.cache, k)
-	}
+	clear(sw.cache)
 	sw.occupancy.Set(0)
 	sw.indexDirty = true
 }
@@ -668,6 +703,7 @@ func (sw *Switch) ExpireIdleFlows() int {
 	for _, e := range sw.table {
 		if e.IdleTimeout > 0 && now.Sub(e.lastUsed) >= e.IdleTimeout {
 			removed++
+			delete(sw.keys, flowKeyOf(&e))
 			sw.flowsExpired.Inc()
 			if sw.controller != nil {
 				sw.controller.flowRemoved(sw, &e)
@@ -690,15 +726,4 @@ func (sw *Switch) DumpFlows() string {
 		s += fmt.Sprintf("  prio=%d cookie=%#x pkts=%d actions=%d\n", e.Priority, e.Cookie, e.Packets, len(e.Actions))
 	}
 	return s
-}
-
-func matchEqual(a, b *pkt.Match) bool {
-	eqU32 := func(x, y *uint32) bool { return (x == nil) == (y == nil) && (x == nil || *x == *y) }
-	eqU16 := func(x, y *uint16) bool { return (x == nil) == (y == nil) && (x == nil || *x == *y) }
-	eqU8 := func(x, y *uint8) bool { return (x == nil) == (y == nil) && (x == nil || *x == *y) }
-	eqU64 := func(x, y *uint64) bool { return (x == nil) == (y == nil) && (x == nil || *x == *y) }
-	eqAddr := func(x, y *pkt.Addr) bool { return (x == nil) == (y == nil) && (x == nil || *x == *y) }
-	return eqU32(a.InPort, b.InPort) && eqU16(a.EthType, b.EthType) && eqU8(a.IPProto, b.IPProto) &&
-		eqAddr(a.IPv4Src, b.IPv4Src) && eqAddr(a.IPv4Dst, b.IPv4Dst) &&
-		eqU16(a.UDPSrc, b.UDPSrc) && eqU16(a.UDPDst, b.UDPDst) && eqU64(a.TunnelID, b.TunnelID)
 }

@@ -26,7 +26,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -312,7 +311,7 @@ func (e *Engine) inject(at Time, fn func(), afn func(any), arg any) {
 	ev.afn = afn
 	ev.arg = arg
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // SendTo schedules fn(arg) on dst after delay d of virtual time. When dst is

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -65,7 +64,6 @@ type Event struct {
 	// non-nil it takes precedence over fn.
 	afn    func(any)
 	arg    any
-	index  int // heap index; -1 once popped or cancelled
 	cancel bool
 	// pooled marks events owned by the engine's free-list. They have no
 	// outside handle (After returns nothing), so after firing they are
@@ -88,33 +86,75 @@ func (e *Event) Cancelled() bool { return e != nil && e.cancel }
 // At reports the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-type eventQueue []*Event
+// queued is one event-queue slot. The (at, seq) sort key is copied out of
+// the event so sift comparisons never dereference it.
+type queued struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a *queued) before(b *queued) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a 4-ary min-heap of queued slots ordered by (at, seq).
+// seq is unique per engine, so the order is strict and every correct heap
+// pops the same sequence: the arity is a speed choice, never a semantic
+// one. Four children per node halve the depth of a binary heap, and their
+// keys share a cache line or two.
+type eventQueue []queued
+
+//acacia:hotpath
+func (q *eventQueue) push(ev *Event) {
+	x := queued{at: ev.at, seq: ev.seq, ev: ev}
+	h := append(*q, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = x
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event. The queue must be non-empty.
+//
+//acacia:hotpath
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0].ev
+	n := len(h) - 1
+	x := h[n]
+	h[n] = queued{}
+	h = h[:n]
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if n > 0 {
+		h[i] = x
+	}
+	*q = h
+	return top
 }
 
 // Engine is a discrete-event scheduler with a virtual clock.
@@ -183,7 +223,7 @@ func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
 	}
 	ev := &Event{at: t, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -205,7 +245,7 @@ func (e *Engine) ScheduleArg(d time.Duration, fn func(any), arg any) *Event {
 	//acacia:allow hotpath-escape handle-bearing event: callers may retain the returned *Event to cancel it, so it cannot come from the free-list (see doc comment)
 	ev := &Event{at: e.now.Add(d), seq: e.seq, afn: fn, arg: arg}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -228,7 +268,7 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	ev.seq = e.seq
 	ev.fn = fn
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // AfterArg runs fn(arg) after delay d of virtual time through the event
@@ -248,7 +288,7 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) {
 	ev.afn = fn
 	ev.arg = arg
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // takeEvent pops a recycled event from the free-list, or allocates one.
@@ -286,7 +326,6 @@ func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
-	ev.index = -1
 	ev.cancel = false
 	e.free = append(e.free, ev)
 }
@@ -336,7 +375,7 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 //acacia:hotpath
 func (e *Engine) step() {
-	ev := heap.Pop(&e.queue).(*Event)
+	ev := e.queue.pop()
 	if ev.cancel {
 		e.recycle(ev)
 		return
@@ -372,8 +411,8 @@ func (e *Engine) NextEventAt() (Time, bool) { return e.nextEventBy(math.MaxInt64
 // nextEventBy is NextEventAt sweeping only cancelled events due at or before
 // t; a cancelled event later than t stays queued and its time is reported.
 func (e *Engine) nextEventBy(t Time) (Time, bool) {
-	for len(e.queue) > 0 && e.queue[0].cancel && e.queue[0].at <= t {
-		e.recycle(heap.Pop(&e.queue).(*Event))
+	for len(e.queue) > 0 && e.queue[0].ev.cancel && e.queue[0].at <= t {
+		e.recycle(e.queue.pop())
 	}
 	if len(e.queue) == 0 {
 		return 0, false
